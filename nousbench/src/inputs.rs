@@ -27,10 +27,6 @@ impl Group {
             Group::Trending => "trending",
         }
     }
-
-    pub fn index(self) -> usize {
-        self as usize
-    }
 }
 
 /// The fixed world every workload runs over.
@@ -58,22 +54,12 @@ impl World0 {
         ArticleStream::generate(&self.world, &self.kb, &cfg)
     }
 
-    /// The warm documents of the fixed graph `query_mix` and `live_http`
-    /// read: the Large preset's own stream, the same for every workload
-    /// seed, so the graph the queries run on does not change with the
-    /// seed (the seed still draws the queries and every fresh document).
+    /// The warm documents of the fixed graph `query_mix` reads: the Large
+    /// preset's own stream, the same for every workload seed, so the graph
+    /// the queries run on does not change with the seed (the seed still
+    /// draws the queries and every fresh document).
     pub fn warm(&self, n: usize) -> Vec<Article> {
         self.stream(Preset::Large.stream_config().seed, n)
-    }
-
-    /// `n` fresh documents from the seeded stream, with ids starting at
-    /// `first_id` so they never collide with the warm documents.
-    pub fn fresh(&self, seed: u64, n: usize, first_id: u64) -> Vec<Article> {
-        let mut docs = self.stream(seed, n);
-        for d in &mut docs {
-            d.id += first_id;
-        }
-        docs
     }
 
     /// `per_group` queries of each group, interleaved in a seeded order.

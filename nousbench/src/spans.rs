@@ -12,49 +12,29 @@ const KEEP_RAW: usize = 100_000;
 
 pub struct Span {
     pub name: &'static str,
-    pub thread: u32,
     pub start_ns: u64,
     pub dur_ns: u64,
 }
 
-/// One thread's span log. Disabled logs cost nothing: `time` calls the
-/// closure directly, so untraced runs carry no span overhead.
+/// The benchmark's span log. Untraced and traced runs record the same
+/// spans, so the two differ only in the program's own tracing.
 pub struct SpanLog {
-    enabled: bool,
     origin: Instant,
-    thread: u32,
     raw: Vec<Span>,
     totals: BTreeMap<&'static str, (u64, u64)>,
 }
 
 impl SpanLog {
-    pub fn new(enabled: bool, origin: Instant, thread: u32) -> Self {
+    pub fn new(origin: Instant) -> Self {
         Self {
-            enabled,
             origin,
-            thread,
             raw: Vec::new(),
             totals: BTreeMap::new(),
         }
     }
 
-    /// Run `f` inside a span named `name`.
-    pub fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        if !self.enabled {
-            return f();
-        }
-        let start = Instant::now();
-        let out = f();
-        let end = Instant::now();
-        self.record(name, start, end);
-        out
-    }
-
     /// Record a span measured by the caller.
     pub fn record(&mut self, name: &'static str, start: Instant, end: Instant) {
-        if !self.enabled {
-            return;
-        }
         let dur_ns = end.saturating_duration_since(start).as_nanos() as u64;
         let t = self.totals.entry(name).or_insert((0, 0));
         t.0 += 1;
@@ -62,7 +42,6 @@ impl SpanLog {
         if self.raw.len() < KEEP_RAW {
             self.raw.push(Span {
                 name,
-                thread: self.thread,
                 start_ns: start.saturating_duration_since(self.origin).as_nanos() as u64,
                 dur_ns,
             });
@@ -74,7 +53,7 @@ impl SpanLog {
         self.totals.get(name).map_or(0.0, |t| t.1 as f64 / 1e9)
     }
 
-    /// Fold another thread's log into this one.
+    /// Fold another log into this one.
     pub fn absorb(&mut self, other: SpanLog) {
         for (name, (n, ns)) in other.totals {
             let t = self.totals.entry(name).or_insert((0, 0));
@@ -97,46 +76,64 @@ impl SpanLog {
         for s in &self.raw {
             writeln!(
                 out,
-                r#"{{"span":"{}","thread":{},"start_ns":{},"dur_ns":{}}}"#,
-                s.name, s.thread, s.start_ns, s.dur_ns
+                r#"{{"span":"{}","start_ns":{},"dur_ns":{}}}"#,
+                s.name, s.start_ns, s.dur_ns
             )?;
         }
         out.flush()
     }
 }
 
-/// Layers of the table, one per crate the workloads reach, plus the
-/// benchmark's own work.
-pub const LAYERS: [&str; 11] = [
-    "bench", "extract", "link", "core", "embed", "persist", "graph", "query", "qa", "mining",
-    "serve",
+/// Layers of the table, one per crate the workloads reach.
+pub const LAYERS: [&str; 10] = [
+    "extract", "link", "core", "embed", "persist", "graph", "query", "qa", "mining", "serve",
 ];
+
+/// One row of a layer table: `(layer, what, seconds)`.
+pub type Row = (&'static str, &'static str, f64);
+
+/// The rows of the fastest of several repeats of the same work, each
+/// listing rows that add up to its time: like every timing of the
+/// benchmark, the repeat a shared host slowed least.
+pub fn fastest<'a>(repeats: impl IntoIterator<Item = &'a Vec<Row>>) -> &'a Vec<Row> {
+    let total = |rows: &[Row]| rows.iter().map(|r| r.2).sum::<f64>();
+    repeats
+        .into_iter()
+        .min_by(|a, b| total(a).total_cmp(&total(b)))
+        .expect("at least one repeat")
+}
+
+/// Row-by-row sums of tables that list the same rows in the same order.
+pub fn sum_rows(tables: &[&Vec<Row>]) -> Vec<Row> {
+    let mut out = tables[0].clone();
+    for t in &tables[1..] {
+        for (o, r) in out.iter_mut().zip(t.iter()) {
+            o.2 += r.2;
+        }
+    }
+    out
+}
 
 /// Self time per layer for one workload, against the untraced run's
 /// wall time of the same work. Whatever the rows do not explain stays
 /// visible as the residual instead of being spread across them.
 pub struct LayerTable {
-    /// What one unit of work is ("doc", "query", "request").
+    /// What one unit of work is ("round of 4000 docs", ...).
     pub per: &'static str,
     /// Untraced wall time of the work the table attributes, seconds.
     pub wall_untraced: f64,
-    /// `(layer, what, seconds)` from the traced run, scaled to the
-    /// untraced run's amount of work.
-    pub rows: Vec<(&'static str, &'static str, f64)>,
+    /// Rows from the traced run's repeats of the same work.
+    pub rows: Vec<Row>,
 }
 
 impl LayerTable {
-    pub fn new(per: &'static str, wall_untraced: f64) -> Self {
+    pub fn new(per: &'static str, wall_untraced: f64, rows: Vec<Row>) -> Self {
+        debug_assert!(rows.iter().all(|r| LAYERS.contains(&r.0)), "unknown layer");
         Self {
             per,
             wall_untraced,
-            rows: Vec::new(),
+            rows,
         }
-    }
-
-    pub fn add(&mut self, layer: &'static str, what: &'static str, secs: f64) {
-        debug_assert!(LAYERS.contains(&layer), "unknown layer {layer}");
-        self.rows.push((layer, what, secs));
     }
 
     pub fn layer_secs(&self, layer: &str) -> f64 {

@@ -21,13 +21,34 @@ pub fn percentile(samples: &[f64], pct: usize) -> Option<f64> {
     Some(sorted[rank - 1])
 }
 
-/// Median of a non-empty sample (nearest-rank, no beyond-count rule: used
-/// for per-run medians over a handful of repeats).
+/// Median of a non-empty sample: the middle value, or the mean of the
+/// two middle values when the count is even.
 pub fn median(samples: &[f64]) -> f64 {
     assert!(!samples.is_empty(), "median of an empty sample");
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
-    sorted[(sorted.len() - 1) / 2]
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    }
+}
+
+/// Element-wise minimum over repeated passes of one sequence of
+/// operations: entry `i` is the fastest of every pass's entry `i`. A
+/// shared host only ever adds time to an operation, so the fastest
+/// repeat is the closest to the program's own cost, and a host slowdown
+/// reaches the result only if it hits every repeat at that position.
+pub fn positional_min(passes: &[Vec<f64>]) -> Vec<f64> {
+    let n = passes.first().map_or(0, Vec::len);
+    assert!(
+        passes.iter().all(|p| p.len() == n),
+        "passes differ in length"
+    );
+    (0..n)
+        .map(|i| passes.iter().map(|p| p[i]).fold(f64::INFINITY, f64::min))
+        .collect()
 }
 
 /// Arithmetic mean; 0 for an empty sample.
@@ -86,6 +107,16 @@ mod tests {
     #[test]
     fn median_of_odd_and_even_samples() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+    }
+
+    #[test]
+    fn positional_min_takes_each_position_separately() {
+        let passes = vec![
+            vec![1.0, 9.0, 5.0],
+            vec![2.0, 1.0, 50.0],
+            vec![3.0, 2.0, 6.0],
+        ];
+        assert_eq!(positional_min(&passes), vec![1.0, 1.0, 5.0]);
     }
 }

@@ -189,14 +189,14 @@ fn add(a: &IngestReport, b: &IngestReport) -> IngestReport {
 }
 
 /// A durable store whose baseline checkpoint is the session's current
-/// graph, with the WAL journal (ack-tracked, and timed when `busy_ns` is
-/// given) installed on `pipe`.
+/// graph, with the WAL journal (ack-tracked, and timed into `busy_ns`)
+/// installed on `pipe`.
 pub fn attach_store(
     dir: &Path,
     session: &SharedSession,
     pipe: &mut IngestPipeline,
     reg: &MetricsRegistry,
-    busy_ns: Option<Arc<AtomicU64>>,
+    busy_ns: Arc<AtomicU64>,
 ) -> (DurableStore, Arc<Acks>) {
     let _ = std::fs::remove_dir_all(dir);
     let report = pipe.report();
@@ -207,10 +207,7 @@ pub fn attach_store(
         .expect("create durable store");
     let acks = Acks::new(report);
     let journal = store.journal_with_ack(acks.hook());
-    pipe.set_journal(match busy_ns {
-        Some(busy) => TimedJournal::wrap(journal, busy),
-        None => journal,
-    });
+    pipe.set_journal(TimedJournal::wrap(journal, busy_ns));
     (store, acks)
 }
 
